@@ -730,10 +730,14 @@ func Fig8(f *Fig6Result) ([]Fig8Row, error) {
 // lost cells costs whole rows; instead of dropping them silently, every
 // failed source cell behind a dropped row is recorded as a "fig8"
 // DegradationEvent in the returned Health block.
+//
+// The surviving rows' thermal solves are independent, so they run on the
+// default pool; rows keep f.Benchmarks order, and a failure reports the
+// lowest-index cell's error — the one a serial loop would have hit first.
 func Fig8Health(f *Fig6Result) ([]Fig8Row, Health, error) {
 	designs := []config.Design{config.Base, config.TSV3D, config.M3DHet}
 	hr := &healthRecorder{}
-	var out []Fig8Row
+	var benches []string
 	for _, b := range f.Benchmarks {
 		skip := false
 		for _, d := range designs {
@@ -743,20 +747,32 @@ func Fig8Health(f *Fig6Result) ([]Fig8Row, Health, error) {
 					"dropped the benchmark's thermal row (source cell failed in the Fig6 sweep)", err)
 			}
 		}
-		if skip {
-			continue
+		if !skip {
+			benches = append(benches, b)
 		}
-		row := Fig8Row{Benchmark: b, PeakC: map[config.Design]float64{}, PowerW: map[config.Design]float64{}}
-		for _, d := range designs {
+	}
+	type solved struct{ peakC, watts float64 }
+	cells, err := parallel.Map(context.TODO(), parallel.Default(), len(benches)*len(designs),
+		func(_ context.Context, i int) (solved, error) {
+			b, d := benches[i/len(designs)], designs[i%len(designs)]
 			run := f.Runs[b][d]
-			cfg := f.Suite.Configs[d]
-			blocks := power.BlockPowers(cfg, run.Stats, run.Mem, run.Seconds)
+			blocks := power.BlockPowers(f.Suite.Configs[d], run.Stats, run.Mem, run.Seconds)
 			res, watts, err := SolveDesignThermal(d, blocks, 0)
 			if err != nil {
-				return nil, Health{}, fmt.Errorf("fig8 %s/%s: %w", b, d, err)
+				return solved{}, fmt.Errorf("fig8 %s/%s: %w", b, d, err)
 			}
-			row.PeakC[d] = res.PeakC
-			row.PowerW[d] = watts
+			return solved{res.PeakC, watts}, nil
+		})
+	if err != nil {
+		return nil, Health{}, err
+	}
+	var out []Fig8Row
+	for bi, b := range benches {
+		row := Fig8Row{Benchmark: b, PeakC: map[config.Design]float64{}, PowerW: map[config.Design]float64{}}
+		for di, d := range designs {
+			c := cells[bi*len(designs)+di]
+			row.PeakC[d] = c.peakC
+			row.PowerW[d] = c.watts
 		}
 		out = append(out, row)
 	}

@@ -21,6 +21,91 @@ type dirEntry struct {
 	state   dirState
 }
 
+// dirTable maps line addresses to directory entries: open addressing with
+// linear probing over entries stored inline, so a lookup is one hashed probe
+// into a flat slice rather than a map lookup plus a pointer chase, and the
+// garbage collector has no per-line objects to scan. Entries are never
+// removed. A returned *dirEntry stays valid until the next insertion.
+type dirTable struct {
+	slots []dirSlot // power-of-two length, at most 3/4 full
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// dirSlot is one table slot; key is the line address plus one, so the zero
+// slot is empty.
+type dirSlot struct {
+	key uint64
+	e   dirEntry
+}
+
+// newDirTable sizes a table for about n entries.
+func newDirTable(n int) dirTable {
+	size, bits := 16, uint(4)
+	for size*3/4 < n {
+		size, bits = size*2, bits+1
+	}
+	return dirTable{slots: make([]dirSlot, size), shift: 64 - bits}
+}
+
+// home returns the slot a key's probe sequence starts at.
+func (t *dirTable) home(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns the line's entry, or nil when the directory never saw it.
+func (t *dirTable) find(la uint64) *dirEntry {
+	key := la + 1
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.key == key {
+			return &s.e
+		}
+		if s.key == 0 {
+			return nil
+		}
+	}
+}
+
+// get returns the line's entry, inserting an unowned, unshared one first
+// when the line is new.
+func (t *dirTable) get(la uint64) *dirEntry {
+	if e := t.find(la); e != nil {
+		return e
+	}
+	if (t.n+1)*4 > len(t.slots)*3 {
+		t.grow()
+	}
+	key := la + 1
+	mask := len(t.slots) - 1
+	i := t.home(key)
+	for t.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = dirSlot{key: key, e: dirEntry{owner: -1}}
+	t.n++
+	return &t.slots[i].e
+}
+
+// grow doubles the table and re-inserts every entry.
+func (t *dirTable) grow() {
+	old := t.slots
+	t.slots = make([]dirSlot, 2*len(old))
+	t.shift--
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.key == 0 {
+			continue
+		}
+		i := t.home(s.key)
+		for t.slots[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
 // Multicore is the multicore memory system: private IL1/DL1 per core,
 // private or pair-shared L2s, and a shared, sliced L3 with a MESI directory
 // over a ring NoC (Table 9's "Ring with MESI directory-based protocol").
@@ -33,7 +118,7 @@ type Multicore struct {
 	l2  []*Cache // indexed by L2 domain
 
 	l3  *Cache
-	dir map[uint64]*dirEntry
+	dir dirTable
 
 	cfg        config.CoreParams
 	hopCycles  int
@@ -69,7 +154,7 @@ func NewMulticore(mc config.MCConfig) (*Multicore, error) {
 		sharedL2:   mc.SharedL2,
 		cfg:        p,
 		hopCycles:  mc.RouterHopCycles,
-		dir:        make(map[uint64]*dirEntry, 1<<16),
+		dir:        newDirTable(1 << 16),
 		dramCycles: int(p.DRAMLatencyNs * mc.PerCore.FreqGHz),
 	}
 	fail := func(level string, err error) (*Multicore, error) {
@@ -194,7 +279,7 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 			return 0
 		}
 		// Write hit: if other domains share the line, pay an upgrade.
-		if e, ok := m.dir[la]; ok && e.sharers&^(1<<uint(dom)) != 0 {
+		if e := m.dir.find(la); e != nil && e.sharers&^(1<<uint(dom)) != 0 {
 			return m.invalidateOthers(e, la, dom)
 		}
 		return 0
@@ -209,7 +294,7 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 		return extra
 	}
 	if l2hit && write {
-		if e, ok := m.dir[la]; ok && e.sharers&^(1<<uint(dom)) != 0 {
+		if e := m.dir.find(la); e != nil && e.sharers&^(1<<uint(dom)) != 0 {
 			return extra + m.invalidateOthers(e, la, dom)
 		}
 		return extra
@@ -221,11 +306,7 @@ func (m *Multicore) DataExtra(core int, addr uint64, write bool) int {
 	m.Extra.NoCHops += uint64(h)
 	extra += h*m.hopCycles + m.cfg.L3.RTCycles
 
-	e := m.dir[la]
-	if e == nil {
-		e = &dirEntry{owner: -1}
-		m.dir[la] = e
-	}
+	e := m.dir.get(la)
 
 	// If another domain holds the line Modified, forward from its cache.
 	if e.state == dirModified && e.owner >= 0 && int(e.owner) != dom {

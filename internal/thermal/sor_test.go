@@ -105,9 +105,9 @@ func TestSORSweepReduction(t *testing.T) {
 // TestSolveScratchReuse pins the GC-churn fix: after a warmup solve has
 // populated the pool, further solves of the same geometry allocate only the
 // returned Result grids and small validation strings, not the internal
-// temperature/power slabs. The slabs for the 8-layer M3D stack are
-// 2·nl·nx·ny float64 ≈ 51KB per solve; everything else is ~10KB, so a
-// 30KB/solve ceiling cleanly separates reuse from re-allocation.
+// temperature/power/conductance-sum slabs. The slabs for the 8-layer M3D
+// stack are 3·nl·nx·ny float64 ≈ 77KB per solve; everything else is ~10KB,
+// so a 30KB/solve ceiling cleanly separates reuse from re-allocation.
 func TestSolveScratchReuse(t *testing.T) {
 	p := DefaultParams(2.9e-3, 2.3e-3)
 	stack := StackM3D()

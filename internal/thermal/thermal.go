@@ -138,7 +138,7 @@ func (p Params) Validate() error {
 
 // validateStack checks every layer for a positive thickness and
 // conductivity — a zero in either turns the grid conductances into NaN/Inf
-// and corrupts the whole Gauss-Seidel solve.
+// and corrupts the whole SOR solve.
 func validateStack(stack []LayerSpec) error {
 	c := guard.New("thermal.stack")
 	c.Check(len(stack) >= 1, "layers", "stack must have at least one layer")
@@ -185,12 +185,12 @@ type Result struct {
 	Iters int
 }
 
-// scratch is the per-solve working memory: flat temperature and power slabs
-// (node (l,y,x) lives at (l*ny+y)*nx+x) plus the conductance tables. Solves
-// borrow one from a pool so thermal-bound sweeps stop allocating — and GC
-// churning — ~2·nl·nx·ny floats per call.
+// scratch is the per-solve working memory: flat temperature, power and
+// conductance-sum slabs (node (l,y,x) lives at (l*ny+y)*nx+x) plus the
+// conductance tables. Solves borrow one from a pool so thermal-bound sweeps
+// stop allocating — and GC churning — ~3·nl·nx·ny floats per call.
 type scratch struct {
-	t, pw               []float64
+	t, pw, gSum         []float64
 	gLatX, gLatY, gVert []float64
 }
 
@@ -285,13 +285,48 @@ func buildProblem(stack []LayerSpec, p Params, powerMaps [][][]float64) (*proble
 		sc.t[i] = p.AmbientC
 	}
 
-	return &problem{
+	pr := &problem{
 		stack: stack, p: p,
 		nl: nl, nx: nx, ny: ny,
 		gSink:  cellA / p.SinkRUnit, // top layer to ambient
 		totalP: totalP,
 		sc:     sc,
-	}, nil
+	}
+	// A node's conductance sum depends only on the geometry, so it is summed
+	// once here rather than on every sweep — in nodeSum's neighbour order,
+	// which keeps every Gauss-Seidel value bit-identical to summing it inline.
+	sc.gSum = grow(sc.gSum, nl*nx*ny)
+	j := 0
+	for l := 0; l < nl; l++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				var g float64
+				if x > 0 {
+					g += sc.gLatX[l]
+				}
+				if x < nx-1 {
+					g += sc.gLatX[l]
+				}
+				if y > 0 {
+					g += sc.gLatY[l]
+				}
+				if y < ny-1 {
+					g += sc.gLatY[l]
+				}
+				if l > 0 {
+					g += sc.gVert[l-1]
+				}
+				if l < nl-1 {
+					g += sc.gVert[l]
+				} else {
+					g += pr.gSink
+				}
+				sc.gSum[j] = g
+				j++
+			}
+		}
+	}
+	return pr, nil
 }
 
 // release returns the scratch memory to the pool.
@@ -300,42 +335,36 @@ func (pr *problem) release() {
 	pr.sc = nil
 }
 
-// nodeSum accumulates the neighbour conductance and conductance-weighted
-// temperature sums for node (l,y,x) at flat index j — the single piece of
-// stencil arithmetic both solvers share, so their fixed point is identical
-// by construction.
-func (pr *problem) nodeSum(l, y, x, j int) (gSum, tSum float64) {
+// nodeSum accumulates the conductance-weighted neighbour temperature sum
+// for node (l,y,x) at flat index j, in the order x−1, x+1, y−1, y+1, l−1,
+// then l+1 or the sink. It is the stencil arithmetic both solvers share, so
+// their fixed point is identical by construction; Solve's interior fast
+// path repeats the same order term for term.
+func (pr *problem) nodeSum(l, y, x, j int) (tSum float64) {
 	sc := pr.sc
 	t := sc.t
 	if x > 0 {
-		gSum += sc.gLatX[l]
 		tSum += sc.gLatX[l] * t[j-1]
 	}
 	if x < pr.nx-1 {
-		gSum += sc.gLatX[l]
 		tSum += sc.gLatX[l] * t[j+1]
 	}
 	if y > 0 {
-		gSum += sc.gLatY[l]
 		tSum += sc.gLatY[l] * t[j-pr.nx]
 	}
 	if y < pr.ny-1 {
-		gSum += sc.gLatY[l]
 		tSum += sc.gLatY[l] * t[j+pr.nx]
 	}
 	plane := pr.nx * pr.ny
 	if l > 0 {
-		gSum += sc.gVert[l-1]
 		tSum += sc.gVert[l-1] * t[j-plane]
 	}
 	if l < pr.nl-1 {
-		gSum += sc.gVert[l]
 		tSum += sc.gVert[l] * t[j+plane]
 	} else {
-		gSum += pr.gSink
 		tSum += pr.gSink * pr.p.AmbientC
 	}
-	return gSum, tSum
+	return tSum
 }
 
 // result extracts the active-layer grids, applies the lumped-sink offset
@@ -403,24 +432,54 @@ func Solve(stack []LayerSpec, p Params, powerMaps [][][]float64) (Result, error)
 	if omega == 0 {
 		omega = DefaultOmega
 	}
-	t := pr.sc.t
+	sc := pr.sc
+	t, pw, gSum := sc.t, sc.pw, sc.gSum
+	nl, nx, ny := pr.nl, pr.nx, pr.ny
+	plane := nx * ny
 	iters := 0
 	for iter := 0; iter < p.MaxIters; iter++ {
 		var maxDelta float64
+		relax := func(j int, tSum float64) {
+			gs := (tSum + pw[j]) / gSum[j]
+			nt := t[j] + omega*(gs-t[j])
+			if d := math.Abs(nt - t[j]); d > maxDelta {
+				maxDelta = d
+			}
+			t[j] = nt
+		}
 		for color := 0; color <= 1; color++ {
-			for l := 0; l < pr.nl; l++ {
-				base := l * pr.ny * pr.nx
-				for y := 0; y < pr.ny; y++ {
-					row := base + y*pr.nx
-					for x := (color + l + y) & 1; x < pr.nx; x += 2 {
-						j := row + x
-						gSum, tSum := pr.nodeSum(l, y, x, j)
-						gs := (tSum + pr.sc.pw[j]) / gSum
-						nt := t[j] + omega*(gs-t[j])
-						if d := math.Abs(nt - t[j]); d > maxDelta {
-							maxDelta = d
+			for l := 0; l < nl; l++ {
+				base := l * plane
+				gx, gy := sc.gLatX[l], sc.gLatY[l]
+				for y := 0; y < ny; y++ {
+					row := base + y*nx
+					x := (color + l + y) & 1
+					if l == 0 || l == nl-1 || y == 0 || y == ny-1 {
+						for ; x < nx; x += 2 {
+							relax(row+x, pr.nodeSum(l, y, x, row+x))
 						}
-						t[j] = nt
+						continue
+					}
+					// Interior rows: only the first and last node of the row
+					// lack a neighbour. The rest take nodeSum's terms in
+					// nodeSum's order, without its per-neighbour tests.
+					gDown, gUp := sc.gVert[l-1], sc.gVert[l]
+					if x == 0 {
+						relax(row, pr.nodeSum(l, y, 0, row))
+						x = 2
+					}
+					for ; x < nx-1; x += 2 {
+						j := row + x
+						tSum := gx * t[j-1]
+						tSum += gx * t[j+1]
+						tSum += gy * t[j-nx]
+						tSum += gy * t[j+nx]
+						tSum += gDown * t[j-plane]
+						tSum += gUp * t[j+plane]
+						relax(j, tSum)
+					}
+					if x == nx-1 {
+						relax(row+x, pr.nodeSum(l, y, x, row+x))
 					}
 				}
 			}
@@ -453,8 +512,7 @@ func SolveReference(stack []LayerSpec, p Params, powerMaps [][][]float64) (Resul
 				row := base + y*pr.nx
 				for x := 0; x < pr.nx; x++ {
 					j := row + x
-					gSum, tSum := pr.nodeSum(l, y, x, j)
-					nt := (tSum + pr.sc.pw[j]) / gSum
+					nt := (pr.nodeSum(l, y, x, j) + pr.sc.pw[j]) / pr.sc.gSum[j]
 					if d := math.Abs(nt - t[j]); d > maxDelta {
 						maxDelta = d
 					}

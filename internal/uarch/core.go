@@ -386,15 +386,21 @@ func (c *Core) Done() uint64 { return c.Stats.Instrs }
 
 // ---------------------------------------------------------------------------
 
-// fqPush appends to the frontend ring.
-func (c *Core) fqPush(f fetched) {
-	c.fq[(c.fqHead+c.fqLen)%len(c.fq)] = f
-	c.fqLen++
+// fqTail returns the free frontend slot just past the newest entry; fetch
+// fills it in place and then counts it with fqLen++.
+func (c *Core) fqTail() *fetched {
+	i := c.fqHead + c.fqLen
+	if i >= len(c.fq) {
+		i -= len(c.fq)
+	}
+	return &c.fq[i]
 }
 
 // fqPop removes the oldest frontend entry.
 func (c *Core) fqPop() {
-	c.fqHead = (c.fqHead + 1) % len(c.fq)
+	if c.fqHead++; c.fqHead == len(c.fq) {
+		c.fqHead = 0
+	}
 	c.fqLen--
 }
 
@@ -428,7 +434,9 @@ func (c *Core) commit() {
 				c.lastMap[e.dst] = regRef{}
 			}
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 		c.Stats.Instrs++
 	}
@@ -441,7 +449,7 @@ type fuBudget struct {
 }
 
 func (c *Core) newBudget() fuBudget {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	return fuBudget{alu: p.NumALU, mul: p.NumMulDiv, lsu: p.NumLSU, fpu: p.NumFPU}
 }
 
@@ -451,7 +459,7 @@ func (c *Core) newBudget() fuBudget {
 // its side effects (SQ search, cache access, forwarding records) happen in
 // exactly the same order under both kernels.
 func (c *Core) allocFU(e *robEntry, b *fuBudget, memLat func(*robEntry) int) (bool, int) {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	switch e.kind {
 	case trace.ALU, trace.Branch:
 		if b.alu > 0 {
@@ -539,7 +547,7 @@ func (c *Core) storeRingHas(la uint64) bool {
 // decision and the hierarchy access happened at dispatch, so nothing here
 // depends on issue order.
 func (c *Core) memLatency(e *robEntry) int {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	if e.kind == trace.Store {
 		return p.LSULatency
 	}
@@ -576,7 +584,10 @@ func (c *Core) squashAfter(idx int, br *robEntry) {
 	}
 	// Pop from the tail back to (but excluding) idx.
 	for c.count > 0 {
-		t := (c.tail - 1 + len(c.rob)) % len(c.rob)
+		t := c.tail - 1
+		if t < 0 {
+			t = len(c.rob) - 1
+		}
 		if t == idx {
 			break
 		}
@@ -634,10 +645,10 @@ func (c *Core) squashAfter(idx int, br *robEntry) {
 // dispatch moves instructions from the frontend queue into the ROB/IQ/LSQ,
 // renaming their registers.
 func (c *Core) dispatch() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	slots := p.DispatchWidth
 	for slots > 0 && c.fqLen > 0 {
-		f := c.fq[c.fqHead]
+		f := &c.fq[c.fqHead]
 		if f.readyAt > c.now {
 			return
 		}
@@ -649,7 +660,7 @@ func (c *Core) dispatch() {
 			c.Stats.StallIQ++
 			return
 		}
-		in := f.in
+		in := &f.in
 		switch in.Kind {
 		case trace.Load:
 			if c.lqCount >= p.LQSize {
@@ -676,22 +687,17 @@ func (c *Core) dispatch() {
 		// (see fetch); dispatch only copies their results onto the ROB entry.
 		c.Stats.RATLookups++
 		c.seq++
-		e := robEntry{
-			kind:     in.Kind,
-			state:    stWaiting,
-			dst:      in.Dst,
-			src1:     in.Src1,
-			src2:     in.Src2,
-			addr:     in.Addr,
-			pc:       in.PC,
-			taken:    in.Taken,
-			complex:  in.Complex,
-			mispred:  f.mispred,
-			btbMiss:  f.btbMiss,
-			fwd:      f.fwd,
-			memExtra: f.memExtra,
-			seq:      c.seq,
-		}
+		slot := c.tail
+		e := &c.rob[slot]
+		// Zero the slot, then fill it field by field: a composite literal
+		// is built on the stack and block-copied in.
+		*e = robEntry{}
+		e.kind, e.state = in.Kind, stWaiting
+		e.dst, e.src1, e.src2 = in.Dst, in.Src1, in.Src2
+		e.addr, e.pc = in.Addr, in.PC
+		e.taken, e.complex = in.Taken, in.Complex
+		e.mispred, e.btbMiss, e.fwd = f.mispred, f.btbMiss, f.fwd
+		e.memExtra, e.seq = f.memExtra, c.seq
 		if in.Src1 >= 0 {
 			e.prod1 = c.lastMap[in.Src1]
 		}
@@ -712,9 +718,9 @@ func (c *Core) dispatch() {
 		c.Stats.IQInserts++
 		c.Stats.ROBWrites++
 		c.iqCount++
-		slot := c.tail
-		c.rob[slot] = e
-		c.tail = (c.tail + 1) % len(c.rob)
+		if c.tail++; c.tail == len(c.rob) {
+			c.tail = 0
+		}
 		c.count++
 		c.fqPop()
 		slots--
@@ -727,7 +733,8 @@ func (c *Core) dispatch() {
 // nextInst returns the next instruction of the stream, refilling the
 // prefill buffer in whole batches so the Source interface call (and any
 // packed-recording decode) is amortised over cap(instBuf) instructions.
-func (c *Core) nextInst() trace.Inst {
+// The pointer is into the buffer and valid until the next call.
+func (c *Core) nextInst() *trace.Inst {
 	if c.instPos == len(c.instBuf) {
 		buf := c.instBuf[:cap(c.instBuf)]
 		n := c.src.NextBatch(buf)
@@ -737,7 +744,7 @@ func (c *Core) nextInst() trace.Inst {
 		c.instBuf = buf[:n]
 		c.instPos = 0
 	}
-	in := c.instBuf[c.instPos]
+	in := &c.instBuf[c.instPos]
 	c.instPos++
 	return in
 }
@@ -757,14 +764,16 @@ func (c *Core) nextInst() trace.Inst {
 // (wrong-path work warms caches and trains predictors in real machines
 // too).
 func (c *Core) fetch() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	if c.now < c.fetchGate || c.fqLen >= 2*p.FetchWidth {
 		return
 	}
 	c.Stats.FetchGroups++
 	lineMask := ^uint64(uint64(p.IL1.LineBytes) - 1)
 	for i := 0; i < p.FetchWidth && c.fqLen < len(c.fq); i++ {
-		in := c.nextInst()
+		f := c.fqTail()
+		*f = fetched{in: *c.nextInst(), readyAt: c.now + c.frontDepth}
+		in := &f.in
 		c.Stats.Fetched++
 		c.Stats.KindCount[in.Kind]++
 		if line := in.PC & lineMask; line != c.curFetchLine {
@@ -778,14 +787,12 @@ func (c *Core) fetch() {
 				}
 			}
 		}
-		readyAt := c.now + c.frontDepth
 		if in.Complex {
 			// Complex instructions pass through the complex decoder — one
 			// extra cycle when it lives in the slower top M3D layer
 			// (Section 4.1.2).
-			readyAt += int64(p.ComplexDecodeExtra)
+			f.readyAt += int64(p.ComplexDecodeExtra)
 		}
-		f := fetched{in: in, readyAt: readyAt}
 		switch in.Kind {
 		case trace.Branch:
 			c.Stats.Branches++
@@ -829,7 +836,9 @@ func (c *Core) fetch() {
 			}
 			c.stCounts[stHash(in.Addr&^7)]++
 			c.storeAddrs[c.storeHead] = in.Addr &^ 7
-			c.storeHead = (c.storeHead + 1) % len(c.storeAddrs)
+			if c.storeHead++; c.storeHead == len(c.storeAddrs) {
+				c.storeHead = 0
+			}
 			if extra := c.mem.DataExtra(c.ID, in.Addr, true); extra > 0 {
 				c.Stats.MemExtraData += uint64(extra)
 				if c.fillsOK {
@@ -843,7 +852,7 @@ func (c *Core) fetch() {
 				c.dataMissRun = false
 			}
 		}
-		c.fqPush(f)
+		c.fqLen++
 		if in.Kind == trace.Branch && in.Taken {
 			break // taken branch ends the fetch group
 		}

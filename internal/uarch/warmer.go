@@ -37,9 +37,9 @@ import (
 // would. Only multi-core sharing and invalidation timing remain outside
 // the warmer's reach.
 type FunctionalWarmer struct {
-	id   int
-	src  trace.Source
-	mem  mem.Backend
+	id  int
+	src trace.Source
+	mem mem.Backend
 	// hier is mem when it is the single-core *mem.Hierarchy — the common
 	// case — letting the hot loop call it directly instead of through the
 	// interface table.
@@ -243,7 +243,9 @@ func (w *FunctionalWarmer) stPush(la uint64) {
 	}
 	w.stCounts[stHash(la)]++
 	w.stAddrs[w.stHead] = la
-	w.stHead = (w.stHead + 1) % len(w.stAddrs)
+	if w.stHead++; w.stHead == len(w.stAddrs) {
+		w.stHead = 0
+	}
 }
 
 // Warm advances the stream by n instructions, updating caches and the
@@ -519,9 +521,12 @@ func (c *Core) FastForwardLocal(n uint64) {
 // the cycle clock and the monotonic sequence counter (seq uniqueness is
 // what lets stale scheduling refs die quietly).
 func (c *Core) resetPipeline() {
-	p := c.cfg.Core
+	p := &c.cfg.Core
 	for c.count > 0 {
-		t := (c.tail - 1 + len(c.rob)) % len(c.rob)
+		t := c.tail - 1
+		if t < 0 {
+			t = len(c.rob) - 1
+		}
 		c.rob[t].seq = 0 // stale scheduling refs stop validating
 		c.tail = t
 		c.count--
